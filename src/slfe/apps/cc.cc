@@ -34,7 +34,7 @@ CcResult RunCc(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&labels](VertexId dst, uint32_t acc) {
     if (acc < labels[dst]) {
-      labels[dst] = acc;
+      AtomicStore(&labels[dst], acc);
       return true;
     }
     return false;

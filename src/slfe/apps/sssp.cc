@@ -32,7 +32,7 @@ SsspResult RunSssp(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&dist](VertexId dst, float acc) {
     if (acc < dist[dst]) {
-      dist[dst] = acc;  // dst is rank-local; no atomics needed in pull
+      AtomicStore(&dist[dst], acc);
       return true;
     }
     return false;

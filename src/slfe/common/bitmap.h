@@ -38,6 +38,27 @@ class Bitmap {
     for (auto& w : words_) w.v.store(0, std::memory_order_relaxed);
   }
 
+  /// Clears bits [begin, end). The words at either end may hold bits
+  /// outside the range and are cleared with an atomic AND, so disjoint
+  /// ranges sharing a word may be cleared concurrently; the words in
+  /// between are stored whole.
+  void ClearRange(size_t begin, size_t end) {
+    if (begin >= end) return;
+    SLFE_CHECK_LE(end, size_);
+    size_t first = begin / 64, last = (end - 1) / 64;
+    uint64_t head = ~uint64_t{0} << (begin % 64);
+    uint64_t tail = ~uint64_t{0} >> (63 - (end - 1) % 64);
+    if (first == last) {
+      words_[first].v.fetch_and(~(head & tail), std::memory_order_relaxed);
+      return;
+    }
+    words_[first].v.fetch_and(~head, std::memory_order_relaxed);
+    for (size_t w = first + 1; w < last; ++w) {
+      words_[w].v.store(0, std::memory_order_relaxed);
+    }
+    words_[last].v.fetch_and(~tail, std::memory_order_relaxed);
+  }
+
   /// Sets all bits in [0, size).
   void Fill() {
     size_t full_words = size_ / 64;

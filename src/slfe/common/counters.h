@@ -20,26 +20,6 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Work metrics collected per engine run. "Computations" follows the paper's
-/// definition: one edge-aggregation evaluation feeding a destination vertex
-/// (Fig. 9 y-axis); "updates" is the number of times a vertex property was
-/// actually overwritten (Table 2 numerator).
-struct WorkMetrics {
-  Counter computations;       ///< edge-level aggregation evaluations
-  Counter updates;            ///< vertex property overwrites
-  Counter skipped;            ///< computations bypassed by RR
-  Counter messages;           ///< inter-node messages sent
-  Counter bytes;              ///< inter-node bytes sent
-
-  void Reset() {
-    computations.Reset();
-    updates.Reset();
-    skipped.Reset();
-    messages.Reset();
-    bytes.Reset();
-  }
-};
-
 /// Per-iteration computation history (Fig. 9 series).
 class IterationTrace {
  public:

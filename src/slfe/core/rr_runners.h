@@ -54,6 +54,8 @@ enum class RRVariant {
 template <typename V>
 class MinMaxRunner {
  public:
+  /// `stats`, `safety_sweep_updates` and `verification_computations` are
+  /// filled on rank 0 only.
   struct RunResult {
     EngineStats stats;
     uint64_t supersteps = 0;
@@ -111,6 +113,7 @@ class MinMaxRunner {
     const bool rr = guidance_ != nullptr;
     engine_->BeginRun(ctx);
     if (rr) {
+      // Published to the other ranks by ActivateSeeds' barrier.
       if (ctx.rank == 0 && variant_ == RRVariant::kGatherAllAtStart) {
         started_.assign(engine_->dist_graph().graph().num_vertices(), 0);
       }
@@ -118,9 +121,8 @@ class MinMaxRunner {
         InstallDirtyBookkeeping(ctx);
         SetIterationForDirtyPolicy(ctx, 0);
       }
-      ctx.world->Barrier();
     }
-    for (VertexId s : seeds) engine_->ActivateSeed(ctx, s);
+    engine_->ActivateSeeds(ctx, seeds);
     uint64_t active = engine_->PromoteActiveSet(ctx);
 
     uint32_t ruler = 0;  // the single Ruler: the iteration counter
@@ -172,7 +174,11 @@ class MinMaxRunner {
       // through active gathering or pushes, so only this residue needs a
       // gather-all pass. If it finds nothing (the common case) its cost is
       // reclassified as verification.
-      EngineStats before = engine_->FinishRun(ctx);
+      // FinishRun's stats are rank 0's to read; the other ranks only keep
+      // the collective schedule.
+      const EngineStats& before = engine_->FinishRun(ctx);
+      uint64_t updates_before = ctx.rank == 0 ? before.updates : 0;
+      uint64_t computations_before = ctx.rank == 0 ? before.computations : 0;
       const Mode kForcePull = Mode::kPull;
       active = engine_->ProcessEdges(
           ctx, identity, gather, apply, scatter,
@@ -194,17 +200,22 @@ class MinMaxRunner {
           /*gather_all=*/true, &kForcePull);
       ++result.supersteps;
       ++ruler;
-      EngineStats after = engine_->FinishRun(ctx);
-      uint64_t swept = after.updates - before.updates;
-      result.safety_sweep_updates += swept;
-      if (swept == 0) {
-        result.verification_computations +=
-            after.computations - before.computations;
+      const EngineStats& after = engine_->FinishRun(ctx);
+      if (ctx.rank == 0) {
+        uint64_t swept = after.updates - updates_before;
+        result.safety_sweep_updates += swept;
+        if (swept == 0) {
+          result.verification_computations +=
+              after.computations - computations_before;
+        }
       }
       if (active == 0) break;  // converged; sweep confirmed the fixpoint
     }
-    result.stats = engine_->FinishRun(ctx);
-    result.stats.computations -= result.verification_computations;
+    const EngineStats& stats = engine_->FinishRun(ctx);
+    if (ctx.rank == 0) {
+      result.stats = stats;
+      result.stats.computations -= result.verification_computations;
+    }
     return result;
   }
 
@@ -257,6 +268,7 @@ class MinMaxRunner {
 template <typename V>
 class ArithRunner {
  public:
+  /// `stats`, `ec_vertices` and `ec_history` are filled on rank 0 only.
   struct RunResult {
     EngineStats stats;
     uint64_t supersteps = 0;
@@ -368,7 +380,8 @@ class ArithRunner {
       if (delta < epsilon) break;
     }
 
-    result.stats = engine_->FinishRun(ctx);
+    const EngineStats& stats = engine_->FinishRun(ctx);
+    if (ctx.rank == 0) result.stats = stats;
     if (!result.ec_history.empty()) {
       result.ec_vertices = result.ec_history.back();
     }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "slfe/common/bitmap.h"
-#include "slfe/common/counters.h"
 #include "slfe/common/logging.h"
 #include "slfe/common/timer.h"
 #include "slfe/common/work_stealing.h"
@@ -114,7 +113,14 @@ struct EngineStats {
 /// The accumulator type V parameterizes pull-mode gathering. Vertex
 /// property arrays are owned by the application and captured in the
 /// gather/apply/scatter lambdas; cross-node writes (push mode) must go
-/// through the AtomicMin/AtomicMax/AtomicAdd helpers.
+/// through the AtomicMin/AtomicMax/AtomicAdd helpers, and pull-mode apply
+/// must store with AtomicStore, because other ranks' gathers AtomicLoad
+/// the same element.
+///
+/// Collective schedule: a superstep costs two barriers (three on a
+/// reactivating pull->push transition). Every value a rank uses to decide
+/// which collectives to run (mode, last mode, active counts) is either
+/// rank-local or comes out of an all-reduce, so all ranks agree on it.
 template <typename V>
 class DistEngine {
  public:
@@ -133,13 +139,12 @@ class DistEngine {
   DistEngine(const DistGraph& dist_graph, EngineOptions options)
       : dg_(dist_graph),
         options_(options),
-        scheduler_(options.enable_work_stealing) {
+        scheduler_(options.enable_work_stealing),
+        ranks_(static_cast<size_t>(dg_.num_nodes())) {
     VertexId n = dg_.graph().num_vertices();
-    bitmap_a_.Resize(n);
-    bitmap_b_.Resize(n);
+    active_[0].Resize(n);
+    active_[1].Resize(n);
     dirty_.Resize(n);
-    active_cur_ = &bitmap_a_;
-    active_next_ = &bitmap_b_;
   }
 
   const DistGraph& dist_graph() const { return dg_; }
@@ -150,29 +155,32 @@ class DistEngine {
   const RRGuidance* guidance() const { return options_.guidance.get(); }
 
   /// Collective: clears all run state (active sets, counters, timers).
+  /// Each rank clears its own vertex range.
   void BeginRun(sim::NodeContext& ctx) {
-    if (ctx.rank == 0) {
-      active_cur_->Clear();
-      active_next_->Clear();
-      dirty_.Clear();
-      stats_ = EngineStats{};
-      stats_.node_compute_seconds.assign(dg_.num_nodes(), 0.0);
-      stats_.node_computations.assign(dg_.num_nodes(), 0);
-      stats_.per_thread_chunks.assign(
-          static_cast<size_t>(dg_.num_nodes()) * ctx.pool->num_threads(), 0);
-      last_mode_ = Mode::kPull;  // first push after a pull reactivates
-      metrics_.Reset();
-    }
+    RankState& me = ranks_[ctx.rank];
+    me = RankState{};
+    me.thread_chunks.assign(ctx.pool->num_threads(), 0);
+    const VertexRange& r = dg_.range(ctx.rank);
+    active_[0].ClearRange(r.begin, r.end);
+    active_[1].ClearRange(r.begin, r.end);
+    dirty_.ClearRange(r.begin, r.end);
+    if (ctx.rank == 0) stats_ = EngineStats{};
     ctx.world->Barrier();
   }
 
-  /// Collective: activates a single seed vertex (owner rank performs it).
+  /// Collective: activates the seed vertices (each owner sets its own).
   /// Seeds carry initial values nobody has observed yet, so they start
-  /// dirty for the transition-reactivation bookkeeping.
-  void ActivateSeed(sim::NodeContext& ctx, VertexId v) {
-    if (dg_.range(ctx.rank).Contains(v)) {
-      active_next_->SetBit(v);
-      MarkDirty(v);
+  /// dirty for the transition-reactivation bookkeeping. One barrier
+  /// however many seeds there are.
+  void ActivateSeeds(sim::NodeContext& ctx,
+                     const std::vector<VertexId>& seeds) {
+    const VertexRange& r = dg_.range(ctx.rank);
+    Bitmap& next = Next(ranks_[ctx.rank]);
+    for (VertexId v : seeds) {
+      if (r.Contains(v)) {
+        next.SetBit(v);
+        MarkDirty(v);
+      }
     }
     ctx.world->Barrier();
   }
@@ -180,16 +188,13 @@ class DistEngine {
   /// Collective: activates every vertex (all initial values unobserved).
   void ActivateAll(sim::NodeContext& ctx) {
     const VertexRange& r = dg_.range(ctx.rank);
+    Bitmap& next = Next(ranks_[ctx.rank]);
     for (VertexId v = r.begin; v < r.end; ++v) {
-      active_next_->SetBit(v);
+      next.SetBit(v);
       MarkDirty(v);
     }
     ctx.world->Barrier();
   }
-
-  /// Explicit activation from inside apply/scatter lambdas (rarely needed —
-  /// returning true activates automatically).
-  void Activate(VertexId v) { active_next_->SetBit(v); }
 
   /// Installs the predicate deciding whether an updated vertex becomes
   /// "dirty" (its new value may go unseen by a delayed successor, so the
@@ -203,27 +208,13 @@ class DistEngine {
     dirty_policy_ = std::move(policy);
   }
 
-  /// True iff v was active in the superstep being processed.
-  bool IsActive(VertexId v) const { return active_cur_->TestBit(v); }
-
   /// Collective: promotes the "next" active set to "current" and returns
   /// the global number of active vertices. Apps call this once before the
-  /// iteration loop (after seeding) and ProcessEdges does it implicitly
-  /// for subsequent supersteps.
+  /// iteration loop, right after ActivateSeeds/ActivateAll (whose barrier
+  /// it relies on); ProcessEdges does it implicitly for later supersteps.
+  /// One barrier.
   uint64_t PromoteActiveSet(sim::NodeContext& ctx) {
-    ctx.world->Barrier();
-    const VertexRange& r = dg_.range(ctx.rank);
-    uint64_t local = 0;
-    if (ctx.rank == 0) {
-      std::swap(active_cur_, active_next_);
-    }
-    ctx.world->Barrier();
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) ++local;
-    }
-    if (ctx.rank == 0) active_next_->Clear();
-    uint64_t total = ctx.world->AllReduceSum(ctx.rank, local);
-    return total;
+    return Promote(ctx, sim::StepTotals{}).active_vertices;
   }
 
   /// Collective: one superstep. Picks push or pull per the mode policy,
@@ -244,56 +235,54 @@ class DistEngine {
                         const PullFilterFn& pull_filter = nullptr,
                         bool gather_all = false,
                         const Mode* forced_mode = nullptr) {
-    Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(ctx);
+    RankState& me = ranks_[ctx.rank];
+    Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(me);
+    Bitmap& cur = Cur(me);
+    Bitmap& next = Next(me);
 
     // Pull->push transition: RR may have deactivated vertices whose values
     // were never observed by their successors; reactivate them so push
     // delivers the "unseen" updates (paper Algorithm 3, lines 2-4). kDirty
     // revives only vertices whose value changed since their last push.
+    // The barrier keeps peers' pushes from marking this rank's vertices
+    // dirty while it is still reading dirty_.
     if (options_.reactivation != TransitionReactivation::kNone &&
-        mode == Mode::kPush && last_mode_ == Mode::kPull) {
+        mode == Mode::kPush && me.last_mode == Mode::kPull) {
       const VertexRange& r = dg_.range(ctx.rank);
       for (VertexId v = r.begin; v < r.end; ++v) {
         if (options_.reactivation == TransitionReactivation::kAll ||
             dirty_.TestBit(v)) {
-          active_cur_->SetBit(v);
+          cur.SetBit(v);
         }
       }
       ctx.world->Barrier();
     }
+    me.last_mode = mode;
 
     Timer step_timer;
-    uint64_t local_comp = 0, local_upd = 0, local_skip = 0;
-    uint64_t local_msgs = 0, local_bytes = 0;
-
+    StepCounters local;
     if (mode == Mode::kPull) {
-      RunPull(ctx, identity, gather, apply, pull_filter, gather_all,
-              &local_comp, &local_upd, &local_skip, &local_msgs,
-              &local_bytes);
+      RunPull(ctx, cur, next, identity, gather, apply, pull_filter,
+              gather_all, &local);
     } else {
-      RunPush(ctx, scatter, &local_comp, &local_upd, &local_msgs,
-              &local_bytes);
+      RunPush(ctx, cur, next, scatter, &local);
     }
-    double compute_seconds = step_timer.Seconds();
+    me.compute_seconds += step_timer.Seconds();
+    me.totals.Add(local);
 
-    // Commit counters and charge the BSP communication cost for this step.
-    metrics_.computations.Add(local_comp);
-    metrics_.updates.Add(local_upd);
-    metrics_.skipped.Add(local_skip);
-    metrics_.messages.Add(local_msgs);
-    metrics_.bytes.Add(local_bytes);
-    AtomicAdd(&stats_.node_compute_seconds[ctx.rank], compute_seconds);
-    AtomicAdd(&stats_.node_computations[ctx.rank], local_comp);
-
-    double comm_cost = options_.cost_model.Cost(local_msgs, local_bytes);
-    double max_comm = ctx.world->AllReduce(
-        ctx.rank, comm_cost, [](double a, double b) { return std::max(a, b); });
-    uint64_t step_comp = ctx.world->AllReduceSum(ctx.rank, local_comp);
+    // Past this barrier no rank writes Next or reads Cur, so each rank may
+    // count its range of Next and clear its range of Cur.
+    ctx.world->Barrier();
+    sim::StepTotals step;
+    step.max_comm_seconds =
+        options_.cost_model.Cost(local.messages, local.bytes);
+    step.computations = local.computations;
+    sim::StepTotals total = Promote(ctx, step);
 
     if (ctx.rank == 0) {
       ++stats_.iterations;
-      stats_.comm_seconds += max_comm;
-      stats_.per_iter_computations.push_back(step_comp);
+      stats_.comm_seconds += total.max_comm_seconds;
+      stats_.per_iter_computations.push_back(total.computations);
       stats_.per_iter_mode.push_back(mode);
       double wall = step_timer.Seconds();
       if (mode == Mode::kPull) {
@@ -301,9 +290,8 @@ class DistEngine {
       } else {
         stats_.push_seconds += wall;
       }
-      last_mode_ = mode;
     }
-    return PromoteActiveSet(ctx);
+    return total.active_vertices;
   }
 
   /// Collective: applies fn to every master vertex and returns the
@@ -326,29 +314,110 @@ class DistEngine {
                                 [](double a, double b) { return a + b; });
   }
 
-  /// Collective: finalizes per-run stats. Call once after the loop; the
-  /// returned reference is valid until the next BeginRun.
+  /// Collective: merges every rank's counters into the run's stats. Call
+  /// after the loop (the safety sweep also calls it mid-run). Only rank 0
+  /// may read the result; it stays valid until rank 0's next collective.
   const EngineStats& FinishRun(sim::NodeContext& ctx) {
     ctx.world->Barrier();
     if (ctx.rank == 0) {
-      stats_.computations = metrics_.computations.Get();
-      stats_.updates = metrics_.updates.Get();
-      stats_.skipped = metrics_.skipped.Get();
-      stats_.messages = metrics_.messages.Get();
-      stats_.bytes = metrics_.bytes.Get();
+      StepCounters sum;
+      stats_.node_compute_seconds.clear();
+      stats_.node_computations.clear();
+      stats_.per_thread_chunks.clear();
+      for (const RankState& rs : ranks_) {
+        sum.Add(rs.totals);
+        stats_.node_compute_seconds.push_back(rs.compute_seconds);
+        stats_.node_computations.push_back(rs.totals.computations);
+        stats_.per_thread_chunks.insert(stats_.per_thread_chunks.end(),
+                                        rs.thread_chunks.begin(),
+                                        rs.thread_chunks.end());
+      }
+      stats_.computations = sum.computations;
+      stats_.updates = sum.updates;
+      stats_.skipped = sum.skipped;
+      stats_.messages = sum.messages;
+      stats_.bytes = sum.bytes;
     }
-    ctx.world->Barrier();
+    ctx.world->Barrier();  // peers may not write their counters until read
     return stats_;
   }
 
   const EngineStats& stats() const { return stats_; }
 
  private:
+  /// Work counters of one rank, for one superstep or summed over a run.
+  struct StepCounters {
+    uint64_t computations = 0, updates = 0, skipped = 0;
+    uint64_t messages = 0, bytes = 0;
+    void Add(const StepCounters& o) {
+      computations += o.computations;
+      updates += o.updates;
+      skipped += o.skipped;
+      messages += o.messages;
+      bytes += o.bytes;
+    }
+  };
+
+  /// State only its own rank writes. Rank 0 reads the counters in
+  /// FinishRun, between two barriers.
+  struct alignas(64) RankState {
+    int parity = 0;  ///< active_[parity] is Cur, active_[parity ^ 1] Next
+    Mode last_mode = Mode::kPull;  ///< first push after a pull reactivates
+    uint64_t active_out_edges = 0;  ///< global, from the last promotion
+    double compute_seconds = 0;
+    StepCounters totals;
+    std::vector<uint64_t> thread_chunks;  ///< stealing diagnostics
+  };
+
+  Bitmap& Cur(const RankState& me) { return active_[me.parity]; }
+  Bitmap& Next(const RankState& me) { return active_[me.parity ^ 1]; }
+
   void MarkDirty(VertexId v) {
     if (!dirty_policy_ || dirty_policy_(v)) dirty_.SetBit(v);
   }
 
-  Mode DecideMode(sim::NodeContext& ctx) {
+  /// Runs after a barrier past which nobody writes Next or reads Cur: adds
+  /// this rank's next-frontier counts to `local`, clears its range of Cur,
+  /// flips its parity, and all-reduces the step (one barrier). The next
+  /// superstep's mode decision reuses the reduced out-edge total.
+  sim::StepTotals Promote(sim::NodeContext& ctx, sim::StepTotals local) {
+    RankState& me = ranks_[ctx.rank];
+    const VertexRange& r = dg_.range(ctx.rank);
+    CountFrontier(Next(me), r, &local.active_vertices,
+                  &local.active_out_edges);
+    Cur(me).ClearRange(r.begin, r.end);
+    me.parity ^= 1;
+    sim::StepTotals total = ctx.world->AllReduceStep(ctx.rank, local);
+    me.active_out_edges = total.active_out_edges;
+    return total;
+  }
+
+  /// Counts the set bits of `bits` within `r` and their out-degrees, a
+  /// word at a time; a full word's out-degree is one CSR offset difference.
+  void CountFrontier(const Bitmap& bits, const VertexRange& r,
+                     uint64_t* vertices, uint64_t* out_edges) const {
+    if (r.begin >= r.end) return;
+    const Csr& out = dg_.graph().out();
+    size_t first = r.begin / 64, last = (r.end - 1) / 64;
+    for (size_t w = first; w <= last; ++w) {
+      uint64_t word = bits.Word64(w);
+      if (w == first) word &= ~uint64_t{0} << (r.begin % 64);
+      if (w == last) word &= ~uint64_t{0} >> (63 - (r.end - 1) % 64);
+      if (word == 0) continue;
+      VertexId base = static_cast<VertexId>(w * 64);
+      *vertices += static_cast<uint64_t>(__builtin_popcountll(word));
+      if (word == ~uint64_t{0}) {
+        *out_edges += out.begin(base + 64) - out.begin(base);
+        continue;
+      }
+      while (word != 0) {
+        *out_edges += out.degree(base + __builtin_ctzll(word));
+        word &= word - 1;
+      }
+    }
+  }
+
+  Mode DecideMode(const RankState& me) const {
     switch (options_.mode_policy) {
       case ModePolicy::kAlwaysPull:
         return Mode::kPull;
@@ -357,32 +426,23 @@ class DistEngine {
       case ModePolicy::kAdaptive:
         break;
     }
-    const VertexRange& r = dg_.range(ctx.rank);
-    uint64_t local_active_edges = 0;
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) local_active_edges += dg_.graph().out_degree(v);
-    }
-    uint64_t active_edges = ctx.world->AllReduceSum(ctx.rank, local_active_edges);
     double threshold =
         options_.dense_fraction * static_cast<double>(dg_.graph().num_edges());
-    return active_edges > threshold ? Mode::kPull : Mode::kPush;
+    return me.active_out_edges > threshold ? Mode::kPull : Mode::kPush;
   }
 
-  void RunPull(sim::NodeContext& ctx, V identity, const GatherFn& gather,
-               const ApplyFn& apply, const PullFilterFn& pull_filter,
-               bool gather_all, uint64_t* comp, uint64_t* upd,
-               uint64_t* skip, uint64_t* msgs, uint64_t* bytes) {
+  void RunPull(sim::NodeContext& ctx, const Bitmap& cur, Bitmap& next,
+               V identity, const GatherFn& gather, const ApplyFn& apply,
+               const PullFilterFn& pull_filter, bool gather_all,
+               StepCounters* local) {
     const Csr& in = dg_.graph().in();
     const VertexRange& r = dg_.range(ctx.rank);
     size_t nthreads = ctx.pool->num_threads();
-    struct ThreadCounters {
-      uint64_t comp = 0, upd = 0, skip = 0;
-    };
-    std::vector<ThreadCounters> tc(nthreads);
+    std::vector<StepCounters> tc(nthreads);
 
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
-          ThreadCounters& c = tc[worker];
+          StepCounters& c = tc[worker];
           for (size_t dv = lo; dv < hi; ++dv) {
             VertexId dst = static_cast<VertexId>(dv);
             PullAction action = pull_filter
@@ -390,7 +450,7 @@ class DistEngine {
                                     : (gather_all ? PullAction::kGatherAll
                                                   : PullAction::kGatherActive);
             if (action == PullAction::kSkip) {
-              c.skip += in.degree(dst);
+              c.skipped += in.degree(dst);
               continue;
             }
             bool all = action == PullAction::kGatherAll;
@@ -398,87 +458,83 @@ class DistEngine {
             bool any = false;
             for (EdgeId e = in.begin(dst); e < in.end(dst); ++e) {
               VertexId src = in.neighbor(e);
-              if (!all && !active_cur_->TestBit(src)) continue;
+              if (!all && !cur.TestBit(src)) continue;
               acc = gather(acc, src, in.weight(e));
-              ++c.comp;
+              ++c.computations;
               any = true;
             }
             if (any && apply(dst, acc)) {
-              active_next_->SetBit(dst);
+              next.SetBit(dst);
               MarkDirty(dst);
-              ++c.upd;
+              ++c.updates;
             }
           }
         });
-    for (size_t w = 0; w < nthreads; ++w) {
-      *comp += tc[w].comp;
-      *upd += tc[w].upd;
-      *skip += tc[w].skip;
-      AtomicAdd(&stats_.per_thread_chunks[static_cast<size_t>(ctx.rank) *
-                                              nthreads + w],
-                chunks[w]);
-    }
+    AddThreadCounters(ctx.rank, tc, chunks, local);
     // Mirror refresh traffic: every master whose value changed last step
     // (i.e., is active now) must ship its value to each node holding a
     // mirror, so that remote pull-mode gathers see it.
     uint64_t refresh_values = 0;
     for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) refresh_values += dg_.MirrorNodeCount(v);
+      if (cur.TestBit(v)) refresh_values += dg_.MirrorNodeCount(v);
     }
-    *bytes += refresh_values * (sizeof(VertexId) + sizeof(V));
+    local->bytes += refresh_values * (sizeof(VertexId) + sizeof(V));
     if (refresh_values > 0) {
-      *msgs += static_cast<uint64_t>(dg_.num_nodes() - 1);  // batched
+      local->messages += static_cast<uint64_t>(dg_.num_nodes() - 1);
     }
   }
 
-  void RunPush(sim::NodeContext& ctx, const ScatterFn& scatter,
-               uint64_t* comp, uint64_t* upd, uint64_t* msgs,
-               uint64_t* bytes) {
+  void RunPush(sim::NodeContext& ctx, const Bitmap& cur, Bitmap& next,
+               const ScatterFn& scatter, StepCounters* local) {
     const Csr& out = dg_.graph().out();
     const VertexRange& r = dg_.range(ctx.rank);
     size_t nthreads = ctx.pool->num_threads();
-    struct ThreadCounters {
-      uint64_t comp = 0, upd = 0, vals = 0;
-    };
-    std::vector<ThreadCounters> tc(nthreads);
+    std::vector<StepCounters> tc(nthreads);
+    std::vector<uint64_t> vals(nthreads, 0);
 
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
-          ThreadCounters& c = tc[worker];
+          StepCounters& c = tc[worker];
+          uint64_t chunk_vals = 0;
           for (size_t sv = lo; sv < hi; ++sv) {
             VertexId src = static_cast<VertexId>(sv);
-            if (!active_cur_->TestBit(src)) continue;
+            if (!cur.TestBit(src)) continue;
             // Pushing delivers src's current value to every out-neighbor,
             // so src is no longer "dirty" (unseen) afterwards.
             dirty_.ResetBit(src);
             if (out.degree(src) == 0) continue;
-            c.vals += dg_.MirrorNodeCount(src);
+            chunk_vals += dg_.MirrorNodeCount(src);
             for (EdgeId e = out.begin(src); e < out.end(src); ++e) {
               VertexId dst = out.neighbor(e);
-              ++c.comp;
+              ++c.computations;
               if (scatter(src, dst, out.weight(e))) {
-                active_next_->SetBit(dst);
+                next.SetBit(dst);
                 MarkDirty(dst);
-                ++c.upd;
+                ++c.updates;
               }
             }
           }
+          vals[worker] += chunk_vals;
         });
-    uint64_t vals = 0;
-    for (size_t w = 0; w < nthreads; ++w) {
-      *comp += tc[w].comp;
-      *upd += tc[w].upd;
-      vals += tc[w].vals;
-      AtomicAdd(&stats_.per_thread_chunks[static_cast<size_t>(ctx.rank) *
-                                              nthreads + w],
-                chunks[w]);
-    }
-    *bytes += vals * (sizeof(VertexId) + sizeof(V));
-    if (vals > 0) {
+    AddThreadCounters(ctx.rank, tc, chunks, local);
+    uint64_t total_vals = 0;
+    for (uint64_t v : vals) total_vals += v;
+    local->bytes += total_vals * (sizeof(VertexId) + sizeof(V));
+    if (total_vals > 0) {
       // Gemini batches sparse updates into one MPI message per node pair
       // per superstep (unlike PowerGraph's fine-grained signals, which the
       // GAS baseline models as per-mirror messages).
-      *msgs += static_cast<uint64_t>(dg_.num_nodes() - 1);
+      local->messages += static_cast<uint64_t>(dg_.num_nodes() - 1);
+    }
+  }
+
+  void AddThreadCounters(int rank, const std::vector<StepCounters>& tc,
+                         const std::vector<uint64_t>& chunks,
+                         StepCounters* local) {
+    std::vector<uint64_t>& mine = ranks_[rank].thread_chunks;
+    for (size_t w = 0; w < tc.size(); ++w) {
+      local->Add(tc[w]);
+      mine[w] += chunks[w];
     }
   }
 
@@ -486,15 +542,11 @@ class DistEngine {
   EngineOptions options_;
   WorkStealingScheduler scheduler_;
 
-  Bitmap bitmap_a_;
-  Bitmap bitmap_b_;
-  Bitmap dirty_;  ///< value changed since last pushed (unseen by some)
+  Bitmap active_[2];  ///< Cur/Next, selected by each rank's parity
+  Bitmap dirty_;      ///< value changed since last pushed (unseen by some)
   std::function<bool(VertexId)> dirty_policy_;
-  Bitmap* active_cur_ = nullptr;
-  Bitmap* active_next_ = nullptr;
-  Mode last_mode_ = Mode::kPull;
-  WorkMetrics metrics_;
-  EngineStats stats_;
+  std::vector<RankState> ranks_;
+  EngineStats stats_;  ///< written and read by rank 0 only
 };
 
 }  // namespace slfe

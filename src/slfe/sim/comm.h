@@ -36,6 +36,16 @@ struct Message {
   std::vector<uint8_t> payload;
 };
 
+/// One rank's contribution to a superstep's fused reduction, and the
+/// reduced result: the BSP-max of the simulated communication cost plus
+/// global sums of the work and next-frontier counts.
+struct StepTotals {
+  double max_comm_seconds = 0;
+  uint64_t computations = 0;
+  uint64_t active_vertices = 0;
+  uint64_t active_out_edges = 0;
+};
+
 /// In-memory stand-in for MPI. N ranks (threads) share a World; each rank
 /// interacts through its own Comm handle (rank id + mailboxes + barrier +
 /// reduction scratch). All collective calls must be invoked by every rank.
@@ -52,16 +62,30 @@ class World {
   /// barrier so that all sends for the superstep have landed.
   std::vector<Message> Recv(int rank);
 
-  /// Sense-reversing barrier across all ranks.
+  /// Blocking barrier across all ranks. Waiters sleep on a condition
+  /// variable rather than spin: simulated ranks share the host's cores
+  /// with each other's worker pools and with other jobs.
   void Barrier();
 
+  /// Number of barriers every rank has passed since construction. Stable
+  /// between a rank's collectives (a barrier completes only when all ranks
+  /// arrive), so a rank may read it to count the barriers a call costs.
+  uint64_t BarrierCount() const;
+
   /// All-reduce of one double using `op` (associative+commutative).
-  /// Every rank passes its local value; all receive the reduction.
+  /// Every rank passes its local value; all receive the reduction, folded
+  /// in rank order so every rank (and every run) gets identical bits.
+  /// Costs one barrier.
   double AllReduce(int rank, double value,
                    const std::function<double(double, double)>& op);
 
   /// All-reduce specialization: sum of uint64 (active-vertex counts etc.).
+  /// Costs one barrier.
   uint64_t AllReduceSum(int rank, uint64_t value);
+
+  /// The per-superstep fused all-reduce: max of max_comm_seconds, sums of
+  /// the counts. Costs one barrier.
+  StepTotals AllReduceStep(int rank, const StepTotals& local);
 
   /// Traffic accounting for the current epoch (reset via ResetTraffic).
   uint64_t TotalMessages() const { return total_messages_.Get(); }
@@ -81,6 +105,22 @@ class World {
     Counter messages;
     Counter bytes;
   };
+  /// One rank's published operand; each collective uses one field.
+  struct alignas(64) ReduceSlot {
+    double value = 0;    ///< AllReduce
+    uint64_t sum = 0;    ///< AllReduceSum
+    StepTotals step;     ///< AllReduceStep
+  };
+  struct alignas(64) ReduceParity {
+    size_t bank = 0;  ///< bank of this rank's next round; flipped per round
+  };
+
+  /// Publishes `mine` as `rank`'s slot for this round, waits for every
+  /// rank, and returns the round's slots in rank order. The slots are
+  /// double-buffered: a rank's next round writes the other bank, and the
+  /// round after that cannot start before every rank has passed the next
+  /// round's barrier, i.e. has finished reading this one.
+  const ReduceSlot* Exchange(int rank, const ReduceSlot& mine);
 
   int num_nodes_;
   std::vector<Mailbox> mailboxes_;
@@ -88,17 +128,16 @@ class World {
   Counter total_messages_;
   Counter total_bytes_;
 
-  // Barrier state (sense-reversing).
-  std::mutex barrier_mu_;
+  // Barrier state: the generation number advances once per barrier.
+  mutable std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
   int barrier_waiting_ = 0;
-  bool barrier_sense_ = false;
+  uint64_t barrier_generation_ = 0;
 
-  // Reduction scratch.
-  std::mutex reduce_mu_;
-  double reduce_value_ = 0;
-  uint64_t reduce_u64_ = 0;
-  int reduce_arrived_ = 0;
+  // Reduction scratch: 2 banks x num_nodes slots, plus each rank's own
+  // bank selector (touched only by that rank).
+  std::vector<ReduceSlot> reduce_slots_;
+  std::vector<ReduceParity> reduce_parity_;
 };
 
 }  // namespace slfe::sim

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "slfe/common/bitmap.h"
@@ -114,6 +115,20 @@ TEST(BitmapTest, ResetBit) {
   EXPECT_TRUE(b.ResetBit(42));
   EXPECT_FALSE(b.ResetBit(42));
   EXPECT_FALSE(b.TestBit(42));
+}
+
+TEST(BitmapTest, ClearRangeClearsExactlyTheRange) {
+  // Ranges inside one word, across word boundaries, and word-aligned.
+  for (auto [begin, end] : {std::pair<size_t, size_t>{3, 9}, {60, 70},
+                            {64, 128}, {5, 190}, {0, 200}, {17, 17}}) {
+    Bitmap b(200);
+    b.Fill();
+    b.ClearRange(begin, end);
+    for (size_t i = 0; i < 200; ++i) {
+      EXPECT_EQ(b.TestBit(i), i < begin || i >= end)
+          << "bit " << i << " range [" << begin << ", " << end << ")";
+    }
+  }
 }
 
 TEST(BitmapTest, FillRespectsSize) {
@@ -353,17 +368,6 @@ TEST(TimerTest, AccumTimerSumsIntervals) {
   EXPECT_GE(t.Seconds(), first);
   t.Reset();
   EXPECT_EQ(t.Seconds(), 0.0);
-}
-
-TEST(CountersTest, WorkMetricsResetClearsAll) {
-  WorkMetrics m;
-  m.computations.Add(5);
-  m.updates.Add(2);
-  m.bytes.Add(100);
-  m.Reset();
-  EXPECT_EQ(m.computations.Get(), 0u);
-  EXPECT_EQ(m.updates.Get(), 0u);
-  EXPECT_EQ(m.bytes.Get(), 0u);
 }
 
 TEST(CountersTest, IterationTraceAccumulates) {

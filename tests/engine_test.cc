@@ -131,7 +131,7 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
 
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -142,7 +142,7 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -172,7 +172,7 @@ TEST(DistEngineTest, AlwaysPushPolicyNeverPulls) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -198,7 +198,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -209,7 +209,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -235,7 +235,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -246,7 +246,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -273,7 +273,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   clevel[0] = 0;
   hc.cluster.Run([&](sim::NodeContext& ctx) {
     hc.engine.BeginRun(ctx);
-    hc.engine.ActivateSeed(ctx, 0);
+    hc.engine.ActivateSeeds(ctx, {0});
     uint64_t active = hc.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = hc.engine.ProcessEdges(
@@ -295,7 +295,7 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
   lv[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -306,7 +306,7 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
           },
           [&lv](VertexId dst, uint32_t acc) {
             if (acc < lv[dst]) {
-              lv[dst] = acc;
+              AtomicStore(&lv[dst], acc);
               return true;
             }
             return false;
@@ -333,7 +333,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
     dist[0] = 0;
     h.cluster.Run([&](sim::NodeContext& ctx) {
       h.engine.BeginRun(ctx);
-      h.engine.ActivateSeed(ctx, 0);
+      h.engine.ActivateSeeds(ctx, {0});
       uint64_t active = h.engine.PromoteActiveSet(ctx);
       while (active > 0) {
         active = h.engine.ProcessEdges(
@@ -343,7 +343,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
             },
             [&dist](VertexId dst, float acc) {
               if (acc < dist[dst]) {
-                dist[dst] = acc;
+                AtomicStore(&dist[dst], acc);
                 return true;
               }
               return false;
@@ -381,7 +381,7 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   dist[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -391,7 +391,7 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
           },
           [&dist](VertexId dst, float acc) {
             if (acc < dist[dst]) {
-              dist[dst] = acc;
+              AtomicStore(&dist[dst], acc);
               return true;
             }
             return false;
@@ -408,6 +408,123 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   EXPECT_EQ(trace_total, stats.computations);
   EXPECT_EQ(stats.per_iter_computations.size(), stats.iterations);
   EXPECT_EQ(stats.per_iter_mode.size(), stats.iterations);
+}
+
+// ------------------------------------------------ Collective schedule
+
+TEST(CollectiveScheduleTest, ProcessEdgesCostsTwoBarriers) {
+  // A random graph's BFS frontier grows (push), turns dense (pull) and
+  // thins out again (push), so the run crosses pull->push transitions,
+  // each of which pays one extra barrier for reactivation.
+  Graph g = Graph::FromEdges(GenerateErdosRenyi(4000, 32000, 21));
+  EngineOptions opt;
+  opt.reactivation = TransitionReactivation::kAll;
+  EngineHarness h(g, 3, 2, opt);
+  std::vector<uint32_t> level(g.num_vertices(), UINT32_MAX);
+  level[0] = 0;
+  std::vector<uint64_t> cost;
+  uint64_t seed_cost = 0, promote_cost = 0;
+  h.cluster.Run([&](sim::NodeContext& ctx) {
+    sim::World& world = *ctx.world;
+    h.engine.BeginRun(ctx);
+    uint64_t before = world.BarrierCount();
+    h.engine.ActivateSeeds(ctx, {0});
+    uint64_t seeded = world.BarrierCount();
+    uint64_t active = h.engine.PromoteActiveSet(ctx);
+    if (ctx.rank == 0) {
+      seed_cost = seeded - before;
+      promote_cost = world.BarrierCount() - seeded;
+    }
+    while (active > 0) {
+      before = world.BarrierCount();
+      active = h.engine.ProcessEdges(
+          ctx, UINT32_MAX,
+          [&level](uint32_t acc, VertexId src, Weight) {
+            uint32_t lv = AtomicLoad(&level[src]);
+            return lv == UINT32_MAX ? acc : std::min(acc, lv + 1);
+          },
+          [&level](VertexId dst, uint32_t acc) {
+            if (acc < level[dst]) {
+              AtomicStore(&level[dst], acc);
+              return true;
+            }
+            return false;
+          },
+          [&level](VertexId src, VertexId dst, Weight) {
+            uint32_t lv = AtomicLoad(&level[src]);
+            if (lv == UINT32_MAX) return false;
+            return AtomicMin(&level[dst], lv + 1);
+          });
+      if (ctx.rank == 0) cost.push_back(world.BarrierCount() - before);
+    }
+    h.engine.FinishRun(ctx);
+  });
+  EXPECT_EQ(seed_cost, 1u);
+  EXPECT_EQ(promote_cost, 1u);
+  const std::vector<Mode>& modes = h.engine.stats().per_iter_mode;
+  ASSERT_EQ(cost.size(), modes.size());
+  int reactivations = 0;
+  Mode last = Mode::kPull;  // the engine's initial "last mode"
+  for (size_t i = 0; i < modes.size(); ++i) {
+    bool reactivates = last == Mode::kPull && modes[i] == Mode::kPush;
+    EXPECT_EQ(cost[i], reactivates ? 3u : 2u) << "superstep " << i;
+    reactivations += reactivates;
+    last = modes[i];
+  }
+  EXPECT_GE(reactivations, 2);  // the first push and a later transition
+  EXPECT_LT(reactivations, static_cast<int>(modes.size()));
+  uint32_t reached = 0;
+  for (uint32_t l : level) reached += l != UINT32_MAX;
+  EXPECT_GT(reached, g.num_vertices() / 2);
+}
+
+TEST(CollectiveScheduleTest, CcBarriersIndependentOfVertexCount) {
+  // Min-label propagation seeded with every vertex, as dist cc runs it.
+  // On a star it takes the same supersteps at any size, so any barrier
+  // paid per seed vertex would show as a count growing with |V|.
+  auto run_cc = [](VertexId spokes, uint64_t* barriers, uint64_t* steps) {
+    Graph g = Graph::FromEdges(GenerateStar(spokes));
+    EngineHarness h(g, 2, 1);
+    std::vector<uint32_t> labels(g.num_vertices());
+    std::vector<VertexId> seeds(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) labels[v] = seeds[v] = v;
+    uint64_t start = h.cluster.world().BarrierCount();
+    h.cluster.Run([&](sim::NodeContext& ctx) {
+      h.engine.BeginRun(ctx);
+      h.engine.ActivateSeeds(ctx, seeds);
+      uint64_t active = h.engine.PromoteActiveSet(ctx);
+      while (active > 0) {
+        active = h.engine.ProcessEdges(
+            ctx, UINT32_MAX,
+            [&labels](uint32_t acc, VertexId src, Weight) {
+              return std::min(acc, AtomicLoad(&labels[src]));
+            },
+            [&labels](VertexId dst, uint32_t acc) {
+              if (acc < labels[dst]) {
+                AtomicStore(&labels[dst], acc);
+                return true;
+              }
+              return false;
+            },
+            [&labels](VertexId src, VertexId dst, Weight) {
+              return AtomicMin(&labels[dst], AtomicLoad(&labels[src]));
+            });
+      }
+      h.engine.FinishRun(ctx);
+    });
+    *barriers = h.cluster.world().BarrierCount() - start;
+    *steps = h.engine.stats().iterations;
+    for (uint32_t l : labels) EXPECT_EQ(l, 0u);
+  };
+  uint64_t small_barriers = 0, small_steps = 0;
+  uint64_t large_barriers = 0, large_steps = 0;
+  run_cc(200, &small_barriers, &small_steps);
+  run_cc(20000, &large_barriers, &large_steps);
+  ASSERT_EQ(small_steps, large_steps);
+  EXPECT_EQ(small_barriers, large_barriers);
+  // BeginRun + ActivateSeeds + PromoteActiveSet + 2 per superstep +
+  // FinishRun's two.
+  EXPECT_EQ(small_barriers, 3 + 2 * small_steps + 2);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ SsspRun RunSsspVariant(const Graph& g, int nodes, int threads,
   };
   auto apply = [&dist](VertexId dst, float acc) {
     if (acc < dist[dst]) {
-      dist[dst] = acc;
+      AtomicStore(&dist[dst], acc);
       return true;
     }
     return false;

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "slfe/sim/cluster.h"
@@ -160,6 +162,94 @@ TEST(ClusterTest, SequentialRunsReuseWorld) {
       count.fetch_add(1);
     });
     EXPECT_EQ(count.load(), 3);
+  }
+}
+
+TEST(ClusterTest, BarrierCountAdvancesOncePerBarrier) {
+  Cluster cluster(3);
+  std::vector<uint64_t> seen(3);
+  cluster.Run([&](NodeContext& ctx) {
+    uint64_t before = ctx.world->BarrierCount();
+    ctx.world->Barrier();
+    ctx.world->AllReduceSum(ctx.rank, 1);
+    seen[ctx.rank] = ctx.world->BarrierCount() - before;
+  });
+  for (uint64_t s : seen) EXPECT_EQ(s, 2u);
+  EXPECT_EQ(cluster.world().BarrierCount(), 2u);
+}
+
+// Interleaves the three single-barrier collectives over thousands of
+// rounds, with rank-dependent yields so ranks run ahead of each other into
+// the next round's bank. Every result is checked exactly; the double sum
+// must equal the rank-order fold on every rank, so it is bit-identical
+// between ranks and between runs.
+std::vector<double> StressCollectives(int ranks, int rounds,
+                                      std::atomic<int>* failures) {
+  Cluster cluster(ranks);
+  std::vector<double> sums(rounds);
+  auto fraction = [](int rank, int round) {
+    return 1.0 / (3.0 + rank) + 1e-9 * round;
+  };
+  cluster.Run([&](NodeContext& ctx) {
+    World& world = *ctx.world;
+    const uint64_t n = static_cast<uint64_t>(ranks);
+    for (int round = 0; round < rounds; ++round) {
+      const uint64_t r = static_cast<uint64_t>(round);
+      if ((round + ctx.rank) % 7 == 0) std::this_thread::yield();
+      for (int k = 0; k < 3; ++k) {
+        switch ((round + k) % 3) {
+          case 0: {
+            uint64_t sum = world.AllReduceSum(ctx.rank, r * n + ctx.rank);
+            if (sum != r * n * n + n * (n - 1) / 2) failures->fetch_add(1);
+            break;
+          }
+          case 1: {
+            double max = world.AllReduce(
+                ctx.rank, static_cast<double>(round + ctx.rank),
+                [](double a, double b) { return std::max(a, b); });
+            if (max != static_cast<double>(round + ranks - 1)) {
+              failures->fetch_add(1);
+            }
+            break;
+          }
+          case 2: {
+            StepTotals mine;
+            mine.max_comm_seconds = ctx.rank == round % ranks ? 1.0 + r : 0;
+            mine.computations = r + ctx.rank;
+            mine.active_vertices = 1;
+            mine.active_out_edges = r;
+            StepTotals t = world.AllReduceStep(ctx.rank, mine);
+            if (t.max_comm_seconds != 1.0 + static_cast<double>(r) ||
+                t.computations != r * n + n * (n - 1) / 2 ||
+                t.active_vertices != n || t.active_out_edges != r * n) {
+              failures->fetch_add(1);
+            }
+            break;
+          }
+        }
+      }
+      double sum = world.AllReduce(ctx.rank, fraction(ctx.rank, round),
+                                   [](double a, double b) { return a + b; });
+      double fold = fraction(0, round);
+      for (int q = 1; q < ranks; ++q) fold += fraction(q, round);
+      if (std::memcmp(&sum, &fold, sizeof(sum)) != 0) failures->fetch_add(1);
+      if (ctx.rank == 0) sums[round] = sum;
+    }
+  });
+  return sums;
+}
+
+TEST(ClusterTest, SingleBarrierCollectivesStress) {
+  constexpr int kRounds = 3000;
+  for (int ranks : {1, 2, 3, 8}) {
+    std::atomic<int> failures{0};
+    std::vector<double> first = StressCollectives(ranks, kRounds, &failures);
+    std::vector<double> second = StressCollectives(ranks, kRounds, &failures);
+    EXPECT_EQ(failures.load(), 0) << ranks << " ranks";
+    EXPECT_EQ(std::memcmp(first.data(), second.data(),
+                          first.size() * sizeof(double)),
+              0)
+        << ranks << " ranks";
   }
 }
 
